@@ -34,6 +34,18 @@
 //! work over the slowest shard's critical path — valid because the shards
 //! share no state. The modeled figure is asserted >= 2x at 4 shards.
 //!
+//! A fifth section breaks one writer commit into its phases at three
+//! scales (500, 2000 and 6000 sites; about 12k, 49k and 138k interned
+//! keys): an in-memory `SifterWriter` trained on 90% of each crawl takes
+//! up to `PHASE_COMMITS` commits of `PHASE_BATCH` held-out observations,
+//! and `SifterWriter::last_commit_phases` splits each into reclassify, key
+//! freeze, table copy, revision and retire + swap. The phase means add up
+//! to the mean commit. `commit_scale_ratio` is the median commit at 6000
+//! sites over the median at 500 — how far commit time still grows with
+//! the table. It is reported, not asserted: the flat class arrays and
+//! plan/frame maps each publish copies and each retire frees keep it
+//! above 2 (see ROADMAP item 1).
+//!
 //! Scale and placement can be overridden through the environment:
 //!
 //! * `TRACKERSIFT_BENCH_SITES` — number of websites (default 2000);
@@ -48,10 +60,20 @@
 use std::thread;
 use std::time::{Duration, Instant};
 use trackersift::{
-    shard_index, ShardedWriter, Sifter, Study, StudyConfig, Verdict, VerdictRequest,
+    shard_index, CommitPhases, ShardedWriter, Sifter, Study, StudyConfig, Verdict, VerdictRequest,
 };
 use trackersift_bench::env_usize;
 use websim::CorpusProfile;
+
+/// Crawl sizes of the commit-phase breakdown.
+const PHASE_SITES: [usize; 3] = [500, 2_000, 6_000];
+
+/// Held-out observations per commit in the phase breakdown.
+const PHASE_BATCH: usize = 50;
+
+/// Commits measured per scale in the phase breakdown (fewer when the
+/// held-out tenth of a small crawl runs out first).
+const PHASE_COMMITS: usize = 200;
 
 /// Verdicts served per pinned batch in the contention section: small enough
 /// that the worst-batch figure resolves individual stalls, large enough to
@@ -60,6 +82,72 @@ const PIN_CHUNK: usize = 2_048;
 
 fn ms(duration: Duration) -> f64 {
     duration.as_secs_f64() * 1e3
+}
+
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values.get(values.len() / 2).copied().unwrap_or(0.0)
+}
+
+/// One scale of the commit-phase breakdown.
+struct PhaseRow {
+    sites: usize,
+    keys: usize,
+    commits: usize,
+    /// Mean of each phase over the commits.
+    mean: CommitPhases,
+    commit_ms_mean: f64,
+    commit_ms_p50: f64,
+}
+
+/// Train a writer on 90% of a `sites`-site crawl and time held-out commits
+/// of [`PHASE_BATCH`] observations, phase by phase.
+fn commit_phases_at(sites: usize) -> PhaseRow {
+    let study = Study::run(StudyConfig {
+        profile: CorpusProfile::paper().with_sites(sites),
+        seed: 2021,
+        ..StudyConfig::default()
+    });
+    let split = study.requests.len() * 9 / 10;
+    let (historical, live) = study.requests.split_at(split);
+    let mut sifter = Sifter::builder()
+        .thresholds(study.config.thresholds)
+        .build();
+    sifter.observe_all(historical);
+    sifter.commit();
+    let (mut writer, _reader) = sifter.into_concurrent();
+    let mut sum = CommitPhases::default();
+    let mut totals = Vec::new();
+    for batch in live.chunks(PHASE_BATCH).take(PHASE_COMMITS) {
+        writer.observe_all(batch);
+        let start = Instant::now();
+        writer.commit();
+        totals.push(ms(start.elapsed()));
+        let phases = writer.last_commit_phases();
+        sum.reclassify += phases.reclassify;
+        sum.freeze += phases.freeze;
+        sum.table += phases.table;
+        sum.revision += phases.revision;
+        sum.swap += phases.swap;
+    }
+    let commits = totals.len().max(1) as u32;
+    // An in-memory writer journals nothing.
+    let mean = CommitPhases {
+        reclassify: sum.reclassify / commits,
+        freeze: sum.freeze / commits,
+        table: sum.table / commits,
+        revision: sum.revision / commits,
+        swap: sum.swap / commits,
+        ..CommitPhases::default()
+    };
+    PhaseRow {
+        sites,
+        keys: writer.reader().pin().table().keys().len(),
+        commits: totals.len(),
+        mean,
+        commit_ms_mean: totals.iter().sum::<f64>() / f64::from(commits),
+        commit_ms_p50: median(&mut totals),
+    }
 }
 
 fn main() {
@@ -316,6 +404,56 @@ fn main() {
     );
     let shard_commit_json = shard_rows.join(",\n");
 
+    // ------------------------------------------------------------------
+    // one writer commit, phase by phase, at three scales
+    // ------------------------------------------------------------------
+    let phase_rows: Vec<PhaseRow> = PHASE_SITES.into_iter().map(commit_phases_at).collect();
+    for row in &phase_rows {
+        eprintln!(
+            "bench_service: {} sites ({} keys): commit p50 {:.3}ms, mean {:.3}ms = reclassify \
+             {:.3} + freeze {:.3} + table {:.3} + revision {:.3} + swap {:.3}",
+            row.sites,
+            row.keys,
+            row.commit_ms_p50,
+            row.commit_ms_mean,
+            ms(row.mean.reclassify),
+            ms(row.mean.freeze),
+            ms(row.mean.table),
+            ms(row.mean.revision),
+            ms(row.mean.swap),
+        );
+    }
+    let commit_scale_ratio = phase_rows[2].commit_ms_p50 / phase_rows[0].commit_ms_p50.max(1e-12);
+    let commit_phases_json = phase_rows
+        .iter()
+        .map(|row| {
+            format!(
+                concat!(
+                    "    {{\"sites\": {sites}, \"keys\": {keys}, \"commits\": {commits}, ",
+                    "\"commit_ms_p50\": {p50:.4}, \"commit_ms_mean\": {mean:.4}, ",
+                    "\"reclassify_ms\": {reclassify:.4}, \"freeze_ms\": {freeze:.4}, ",
+                    "\"table_ms\": {table:.4}, \"revision_ms\": {revision:.4}, ",
+                    "\"swap_ms\": {swap:.4}}}"
+                ),
+                sites = row.sites,
+                keys = row.keys,
+                commits = row.commits,
+                p50 = row.commit_ms_p50,
+                mean = row.commit_ms_mean,
+                reclassify = ms(row.mean.reclassify),
+                freeze = ms(row.mean.freeze),
+                table = ms(row.mean.table),
+                revision = ms(row.mean.revision),
+                swap = ms(row.mean.swap),
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
+    eprintln!(
+        "bench_service: median commit at {} sites is {commit_scale_ratio:.2}x the one at {} sites",
+        PHASE_SITES[2], PHASE_SITES[0],
+    );
+
     let json = format!(
         concat!(
             "{{\n",
@@ -342,7 +480,12 @@ fn main() {
             "slowest shard's critical path — valid because shards share no state — and is ",
             "asserted >= 2x at 4 shards\",\n",
             "  \"shard_commit\": [\n{shard_commit}\n  ],\n",
-            "  \"shard_commit_speedup_at_4\": {modeled_speedup_4:.3}\n",
+            "  \"shard_commit_speedup_at_4\": {modeled_speedup_4:.3},\n",
+            "  \"commit_phases_note\": \"{phase_batch}-observation held-out commits on an ",
+            "in-memory writer trained on 90% of each crawl; phase columns are means and add up ",
+            "to commit_ms_mean\",\n",
+            "  \"commit_phases\": [\n{commit_phases}\n  ],\n",
+            "  \"commit_scale_ratio\": {commit_scale_ratio:.3}\n",
             "}}\n"
         ),
         sites = sites,
@@ -363,6 +506,9 @@ fn main() {
         contention = contention_json,
         shard_commit = shard_commit_json,
         modeled_speedup_4 = modeled_speedup_at_4,
+        phase_batch = PHASE_BATCH,
+        commit_phases = commit_phases_json,
+        commit_scale_ratio = commit_scale_ratio,
     );
 
     std::fs::write(&out_path, &json).expect("write benchmark output");

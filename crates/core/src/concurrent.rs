@@ -54,19 +54,19 @@
 //! intended mode — and the fallback never runs).
 
 use crate::decision::{Decision, DecisionRequest};
-use crate::intern::FrozenKeys;
 use crate::journal::{DurableDir, Journal, JournalEntry, JournalStats, RecoveryReport};
 use crate::label::LabeledRequest;
 use crate::revision::VerdictRevision;
 use crate::service::{CommitStats, ObserveOutcome, ServiceStats, Sifter, Verdict, VerdictRequest};
 use crate::snapshot::{SifterSnapshot, SnapshotError};
-use crate::table::{ClassTable, SurrogatePlans, VerdictTable};
+use crate::table::VerdictTable;
 use filterlist::ResourceType;
 use std::io;
 use std::path::PathBuf;
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// The writer's attached durable store: the generation directory plus the
 /// live generation's journal, and the lifetime stats carried across
@@ -155,10 +155,7 @@ impl Sifter {
     /// threads. The current committed state is published immediately, so
     /// readers serve from the first instant.
     pub fn into_concurrent(mut self) -> (SifterWriter, SifterReader) {
-        let table = Arc::new(self.verdict_table());
-        let prev_classes = table.classes().clone();
-        let prev_plans = Arc::clone(table.surrogate_plans());
-        let shared = Arc::new(Shared::new(table));
+        let shared = Arc::new(Shared::new(Arc::new(self.verdict_table())));
         let reader = SifterReader::register(Arc::clone(&shared));
         (
             SifterWriter {
@@ -167,10 +164,9 @@ impl Sifter {
                 version_floor: 0,
                 keys_epoch: 0,
                 durable: None,
-                prev_classes,
-                prev_plans,
                 revisions: Vec::new(),
                 revision_capacity: DEFAULT_REVISION_CAPACITY,
+                last_phases: CommitPhases::default(),
             },
             reader,
         )
@@ -269,57 +265,41 @@ pub struct SifterWriter {
     /// Write-ahead durability, attached by [`SifterWriter::open_durable`];
     /// `None` for an in-memory writer (no behaviour change, no I/O).
     durable: Option<Durable>,
-    /// The class arrays of the last published table — what the next publish
-    /// diffs against to record a [`VerdictRevision`].
-    prev_classes: ClassTable,
-    /// The surrogate-plan map of the last published table — diffed by
-    /// `Arc` identity at the next publish to record which plans the commit
-    /// rebuilt ([`VerdictRevision::plans_touched`]). Pointer identity is a
-    /// superset of payload changes: the sifter re-`Arc`s exactly the plans
-    /// its commit rebuilt and shares the rest.
-    prev_plans: Arc<SurrogatePlans>,
     /// The bounded revision ring, ascending by published version. A
     /// snapshot (`Arc` clones) is attached to every published table.
     revisions: Vec<Arc<VerdictRevision>>,
     /// Ring bound: the oldest revision is dropped once the ring exceeds it.
     revision_capacity: usize,
+    /// Where the last [`SifterWriter::commit`]'s time went.
+    last_phases: CommitPhases,
+}
+
+/// Where the wall time of one [`SifterWriter::commit`] went. The phases run
+/// back to back, so they sum to the commit's time up to the clock reads
+/// between them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CommitPhases {
+    /// Journaling the commit marker and its fsync, plus the revision record
+    /// after the publish (zero without a durable store).
+    pub journal: Duration,
+    /// Reclassifying the dirty slice ([`Sifter::commit`]).
+    pub reclassify: Duration,
+    /// Freezing the key view for the next table.
+    pub freeze: Duration,
+    /// Copying the class arrays and plan/frame maps into the next table and
+    /// building its version-baked response bodies.
+    pub table: Duration,
+    /// Resolving the commit's logged class transitions into its revision
+    /// and installing that in the ring.
+    pub revision: Duration,
+    /// Swapping the table in and retiring the unpinned predecessors.
+    pub swap: Duration,
 }
 
 /// How many per-commit revisions a writer retains by default. Bounds the
 /// drift history `GET /v1/revisions` can serve; tune with
 /// [`SifterWriter::set_revision_capacity`].
 pub const DEFAULT_REVISION_CAPACITY: usize = 64;
-
-/// The script keys whose surrogate plan differs between two published plan
-/// maps, by `Arc` identity — exactly the plans the intervening commit
-/// rebuilt (the sifter shares untouched plans pointer-for-pointer).
-/// Resolved to sorted key strings through the table's frozen keys.
-fn plans_touched_between(
-    old: &SurrogatePlans,
-    new: &SurrogatePlans,
-    keys: &FrozenKeys,
-) -> Vec<Arc<str>> {
-    let mut touched = Vec::new();
-    for (key, plan) in new {
-        let same = old
-            .get(key)
-            .is_some_and(|previous| Arc::ptr_eq(previous, plan));
-        if !same {
-            if let Some(string) = keys.shared_string_for_id(key.index() as u32) {
-                touched.push(string);
-            }
-        }
-    }
-    for key in old.keys() {
-        if !new.contains_key(key) {
-            if let Some(string) = keys.shared_string_for_id(key.index() as u32) {
-                touched.push(string);
-            }
-        }
-    }
-    touched.sort();
-    touched
-}
 
 /// Append `revision` to a bounded ring, overriding an existing entry with
 /// the same (newest) version and ignoring stale out-of-order versions —
@@ -426,19 +406,23 @@ impl SifterWriter {
     /// [`Sifter::commit`]) and publish the new [`VerdictTable`] to every
     /// reader in one atomic swap.
     ///
-    /// Publication itself copies the dense class arrays (a few bytes per
-    /// distinct key — a memcpy, not a reclassification) because readers may
-    /// still be pinning the previous table; the frozen key lookup is only
-    /// re-cloned when the delta interned new keys, and is shared between
-    /// tables otherwise. For corpus-scale states this publication cost is
-    /// small next to the avoided full reclassify (see the `commit_speedup`
-    /// and contention sections of `BENCH_service.json`).
+    /// Publication is proportional to the delta where it matters: the
+    /// frozen key view shares its base layer with the previous table and
+    /// copies only recently interned keys, the revision is the commit's own
+    /// log of the class transitions it made (no table diff), and retiring
+    /// the previous table frees only what it does not share. What stays
+    /// O(table) are flat copies — the dense class arrays (a byte per key and
+    /// level) and the plan/frame maps (a pointer per mixed script) — because
+    /// readers may still be pinning the previous table. See
+    /// [`SifterWriter::last_commit_phases`] and the `commit_phases` section
+    /// of `BENCH_service.json`.
     ///
     /// With a durable store attached, a commit marker is journaled and the
     /// journal is **fsynced before the in-memory fold** — so a crash at any
     /// instant either replays this commit in full on recovery (marker
     /// durable) or loses it in full (marker in the torn tail), never half.
     pub fn commit(&mut self) -> CommitStats {
+        let started = Instant::now();
         if self.durable.is_some() {
             let version = self.published_version() + 1;
             self.journal_record(JournalEntry::Commit { version });
@@ -448,8 +432,11 @@ impl SifterWriter {
                 let _ = durable.journal.sync();
             }
         }
+        let journaled = Instant::now();
         let stats = self.sifter.commit();
-        self.publish_current(true);
+        let reclassify = journaled.elapsed();
+        let mut phases = self.publish_current(true);
+        let published = Instant::now();
         // Persist the ring entry the publish just recorded, so a restarted
         // primary rebuilds its pre-crash diff history instead of collapsing
         // it. Derivable from the fold, so a torn tail here only costs the
@@ -462,7 +449,16 @@ impl SifterWriter {
                 self.journal_record(entry);
             }
         }
+        phases.reclassify = reclassify;
+        phases.journal = (journaled - started) + published.elapsed();
+        self.last_phases = phases;
         stats
+    }
+
+    /// Where the last [`SifterWriter::commit`]'s time went, phase by phase
+    /// (all zero before the first commit).
+    pub fn last_commit_phases(&self) -> CommitPhases {
+        self.last_phases
     }
 
     /// Append one record to the attached journal, if any. Failed appends
@@ -523,8 +519,6 @@ impl SifterWriter {
         // the replayed fold — so a torn-off revision record costs nothing,
         // and `?diff=` spans from before the crash still answer.
         let mut ring: Vec<Arc<VerdictRevision>> = Vec::new();
-        let mut prev_classes = self.prev_classes.clone();
-        let mut prev_plans = Arc::clone(&self.prev_plans);
         // The published version the journal says the recovered state has;
         // used to rebase the version floor so versions (and the ring) stay
         // continuous across the restart instead of resetting.
@@ -558,15 +552,9 @@ impl SifterWriter {
                 }
                 JournalEntry::Commit { version } => {
                     self.sifter.commit();
-                    let table = self.sifter.verdict_table();
-                    let changes = table.classes().changes_since(&prev_classes, table.keys());
-                    let plans_touched =
-                        plans_touched_between(&prev_plans, table.surrogate_plans(), table.keys());
-                    prev_classes = table.classes().clone();
-                    prev_plans = Arc::clone(table.surrogate_plans());
                     install_revision(
                         &mut ring,
-                        Arc::new(VerdictRevision::with_plans(version, changes, plans_touched)),
+                        Arc::new(self.sifter.commit_revision(version)),
                         self.revision_capacity,
                     );
                     journal_version = Some(version);
@@ -669,39 +657,41 @@ impl SifterWriter {
     /// Export the current committed state (version rebased onto the floor)
     /// and publish it to every reader in one atomic swap.
     ///
-    /// With `record_revision` set, the per-key class changes since the last
-    /// publish are recorded as one [`VerdictRevision`] in the bounded ring
-    /// (every commit records one, even when nothing changed, so ring
+    /// With `record_revision` set, the class transitions the sifter's last
+    /// commit logged are recorded as one [`VerdictRevision`] in the bounded
+    /// ring (every commit records one, even when nothing changed, so ring
     /// versions stay contiguous and any two are diffable). The restore path
     /// publishes *without* recording: a snapshot swap is a new world, not a
     /// drift event, so the ring is cleared instead. Journal recovery
     /// ([`SifterWriter::open_durable`]) publishes once after the whole
     /// replay, collapsing the replayed commits into a single revision.
-    fn publish_current(&mut self, record_revision: bool) {
-        let floor = self.version_floor;
-        let mut table = self.sifter.verdict_table();
-        table.set_version(floor + table.version());
+    ///
+    /// Returns the time of each publish phase.
+    fn publish_current(&mut self, record_revision: bool) -> CommitPhases {
+        let version = self.published_version();
+        let started = Instant::now();
+        let keys = self.sifter.freeze_keys();
+        let frozen = Instant::now();
+        let mut table = self.sifter.table_with(keys, version);
         table.set_keys_epoch(self.keys_epoch);
+        let built = Instant::now();
         if record_revision {
-            let changes = table
-                .classes()
-                .changes_since(&self.prev_classes, table.keys());
-            let plans_touched =
-                plans_touched_between(&self.prev_plans, table.surrogate_plans(), table.keys());
             install_revision(
                 &mut self.revisions,
-                Arc::new(VerdictRevision::with_plans(
-                    table.version(),
-                    changes,
-                    plans_touched,
-                )),
+                Arc::new(self.sifter.commit_revision(version)),
                 self.revision_capacity,
             );
         }
-        self.prev_classes = table.classes().clone();
-        self.prev_plans = Arc::clone(table.surrogate_plans());
         table.set_revisions(self.revisions.clone());
+        let revised = Instant::now();
         self.shared.publish(Arc::new(table));
+        CommitPhases {
+            freeze: frozen - started,
+            table: built - frozen,
+            revision: revised - built,
+            swap: revised.elapsed(),
+            ..CommitPhases::default()
+        }
     }
 
     /// The bounded ring of per-commit revisions, ascending by version —

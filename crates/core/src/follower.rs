@@ -26,7 +26,7 @@
 
 use crate::frames::SurrogateFrames;
 use crate::hierarchy::Granularity;
-use crate::intern::{FrozenKeys, KeyInterner, ResourceKey};
+use crate::intern::{KeyInterner, ResourceKey};
 use crate::revision::{diff_revisions, plans_touched_in_span, RevisionChange, RevisionRangeError};
 use crate::surrogate::SurrogateScript;
 use crate::table::{ClassTable, SurrogateFrameMap, SurrogatePlans, VerdictTable};
@@ -174,7 +174,6 @@ pub struct FollowerState {
     bootstraps: u64,
     engine: Option<Arc<FilterEngine>>,
     rewriter: Option<Arc<UrlRewriter>>,
-    frozen: Option<Arc<FrozenKeys>>,
 }
 
 impl FollowerState {
@@ -217,7 +216,6 @@ impl FollowerState {
                 self.classes = ClassTable::default();
                 self.plans = SurrogatePlans::default();
                 self.frames = SurrogateFrameMap::default();
-                self.frozen = None;
             }
             Some(baseline) => {
                 if baseline != self.version {
@@ -267,22 +265,14 @@ impl FollowerState {
     }
 
     /// Publish the mirrored state as an immutable [`VerdictTable`] at the
-    /// primary's exact committed version. The frozen key view is cached
-    /// across calls and re-cloned only when a delta interned new keys.
+    /// primary's exact committed version. The frozen key view shares its
+    /// base layer with the previously published table and copies only the
+    /// keys interned since the last fold (see
+    /// [`FrozenKeys`](crate::intern::FrozenKeys)); the class arrays and
+    /// plan/frame maps are flat copies.
     pub fn table(&mut self) -> VerdictTable {
-        let stale = match &self.frozen {
-            Some(frozen) => {
-                frozen.len() != self.interner.len()
-                    || frozen.pair_count() != self.interner.pair_count()
-            }
-            None => true,
-        };
-        if stale {
-            self.frozen = Some(Arc::new(self.interner.freeze()));
-        }
-        let keys = Arc::clone(self.frozen.as_ref().expect("frozen view refreshed above"));
         let mut table = VerdictTable::new(
-            keys,
+            self.interner.freeze(),
             self.classes.clone(),
             self.version,
             self.committed,

@@ -118,7 +118,7 @@ mod testutil;
 
 pub use breakage::{analyze_breakage, Breakage, BreakageRow, BreakageStudy};
 pub use callstack::{analyze_mixed_methods, CallGraph, CallGraphNode, CallStackAnalysis};
-pub use concurrent::{PinnedTable, SifterReader, SifterWriter, TablePublisher};
+pub use concurrent::{CommitPhases, PinnedTable, SifterReader, SifterWriter, TablePublisher};
 pub use decision::{Decision, DecisionRequest, DecisionSource, KeyedRequest};
 pub use follower::{ApplyError, DeltaSnapshot, FollowerState};
 pub use frames::{FrameError, FrameReader, SurrogateFrames};

@@ -67,6 +67,7 @@ use crate::hierarchy::{
 use crate::intern::{FrozenKeys, KeyInterner, ResourceKey};
 use crate::label::LabeledRequest;
 use crate::ratio::{Classification, Counts, Thresholds};
+use crate::revision::{ChangeKind, RevisionChange, VerdictRevision};
 use crate::snapshot::{SifterSnapshot, SnapshotError};
 use crate::surrogate::{MethodPlan, SurrogateScript};
 use crate::table::{verdict_walk, ClassTable, VerdictTable};
@@ -413,7 +414,8 @@ impl SifterBuilder {
             classes: ClassTable::default(),
             surrogate_plans: KeyMap::default(),
             surrogate_frames: KeyMap::default(),
-            frozen: None,
+            last_changes: Vec::new(),
+            last_plans_touched: Vec::new(),
             observed_requests: 0,
             committed_requests: 0,
             residue_requests: 0,
@@ -528,9 +530,13 @@ pub struct Sifter {
     /// time in lockstep with the plans (same keys, same incremental
     /// refresh) so serving a surrogate is a memcpy, not an encode.
     surrogate_frames: KeyMap<SurrogateFrames>,
-    /// Cached frozen key view for publishing [`VerdictTable`]s; refreshed
-    /// lazily when the interner has grown since the last freeze.
-    frozen: Option<Arc<FrozenKeys>>,
+    /// Every class transition the last `commit` made, in the order it made
+    /// them (each `(granularity, key)` slot is set at most once per
+    /// commit). The concurrent writer records these as the commit's
+    /// [`VerdictRevision`] instead of diffing whole class tables.
+    last_changes: Vec<(Granularity, ResourceKey, ChangeKind)>,
+    /// Scripts whose surrogate plan the last `commit` rebuilt or dropped.
+    last_plans_touched: Vec<ResourceKey>,
 
     /// Observations ever ingested (including pending).
     observed_requests: u64,
@@ -811,6 +817,8 @@ impl Sifter {
             observations: self.pending_observations,
             ..CommitStats::default()
         };
+        self.last_changes.clear();
+        self.last_plans_touched.clear();
 
         // Phase 1: domains. A mixedness flip changes the membership of the
         // domain's entire hostname set.
@@ -829,8 +837,7 @@ impl Sifter {
                     classification,
                 },
             );
-            self.classes
-                .set(Granularity::Domain, d, Some(classification));
+            self.set_class(Granularity::Domain, d, Some(classification));
             let was_mixed =
                 matches!(previous, Some(e) if e.classification == Classification::Mixed);
             if was_mixed != (classification == Classification::Mixed) {
@@ -867,12 +874,11 @@ impl Sifter {
                         classification,
                     },
                 );
-                self.classes
-                    .set(Granularity::Hostname, h, Some(classification));
+                self.set_class(Granularity::Hostname, h, Some(classification));
                 classification == Classification::Mixed
             } else {
                 self.host_entries.remove(&h);
-                self.classes.set(Granularity::Hostname, h, None);
+                self.set_class(Granularity::Hostname, h, None);
                 false
             };
             if was_effective != now_effective {
@@ -913,12 +919,11 @@ impl Sifter {
                         classification,
                     },
                 );
-                self.classes
-                    .set(Granularity::Script, s, Some(classification));
+                self.set_class(Granularity::Script, s, Some(classification));
                 classification == Classification::Mixed
             } else {
                 self.script_entries.remove(&s);
-                self.classes.set(Granularity::Script, s, None);
+                self.set_class(Granularity::Script, s, None);
                 false
             };
             if was_mixed != now_mixed {
@@ -946,13 +951,13 @@ impl Sifter {
             );
             if !member {
                 self.method_entries.remove(&m);
-                self.classes.set(Granularity::Method, m, None);
+                self.set_class(Granularity::Method, m, None);
                 continue;
             }
             let counts = self.member_counts(m, &self.hosts_of_method, &self.method_host);
             if counts.is_empty() {
                 self.method_entries.remove(&m);
-                self.classes.set(Granularity::Method, m, None);
+                self.set_class(Granularity::Method, m, None);
                 continue;
             }
             let classification = self
@@ -969,8 +974,7 @@ impl Sifter {
                     classification,
                 },
             );
-            self.classes
-                .set(Granularity::Method, m, Some(classification));
+            self.set_class(Granularity::Method, m, Some(classification));
         }
 
         // Refresh the surrogate plans of exactly the scripts this commit
@@ -985,9 +989,12 @@ impl Sifter {
                 Some(plan) => {
                     self.surrogate_frames.insert(s, SurrogateFrames::new(&plan));
                     self.surrogate_plans.insert(s, Arc::new(plan));
+                    self.last_plans_touched.push(s);
                 }
                 None => {
-                    self.surrogate_plans.remove(&s);
+                    if self.surrogate_plans.remove(&s).is_some() {
+                        self.last_plans_touched.push(s);
+                    }
                     self.surrogate_frames.remove(&s);
                 }
             }
@@ -997,6 +1004,42 @@ impl Sifter {
         self.pending_observations = 0;
         self.commits += 1;
         stats
+    }
+
+    /// Set one committed class slot, logging the transition (if any) for
+    /// [`Sifter::commit_revision`].
+    fn set_class(
+        &mut self,
+        granularity: Granularity,
+        key: ResourceKey,
+        classification: Option<Classification>,
+    ) {
+        let previous = self.classes.set(granularity, key, classification);
+        if let Some(kind) = ChangeKind::of(previous, classification) {
+            self.last_changes.push((granularity, key, kind));
+        }
+    }
+
+    /// What the last [`Sifter::commit`] changed, as the revision the
+    /// published table `version` records: its class transitions and the
+    /// scripts whose plans it rebuilt or dropped, resolved to key strings
+    /// and put in canonical order. O(changes), not O(table).
+    pub(crate) fn commit_revision(&self, version: u64) -> VerdictRevision {
+        let changes = self
+            .last_changes
+            .iter()
+            .map(|&(granularity, key, kind)| RevisionChange {
+                granularity,
+                key: self.interner.resolve_shared(key),
+                kind,
+            })
+            .collect();
+        let plans_touched = self
+            .last_plans_touched
+            .iter()
+            .map(|&script| self.interner.resolve_shared(script))
+            .collect();
+        VerdictRevision::with_plans(version, changes, plans_touched)
     }
 
     /// Sum a resource's count cells over the currently effective-mixed
@@ -1119,32 +1162,33 @@ impl Sifter {
 
     /// Export the committed serving state as an immutable, point-in-time
     /// [`VerdictTable`] — the unit the concurrent writer publishes and the
-    /// representation every read path shares. The frozen key view is cached
-    /// and re-cloned only when the interner has grown since the last call,
-    /// so successive exports after small commits stay cheap.
+    /// representation every read path shares.
     ///
-    /// Scaling caveat: when a delta *did* intern new keys, the re-freeze
-    /// clones the full string→key lookup — O(total keys), not O(delta). At
-    /// corpus scale that is a bulk `HashMap` clone sharing the `Arc<str>`
-    /// storage (no string copies); a layered/persistent lookup that shares
-    /// unchanged buckets across freezes is the known next optimisation if
-    /// novel-key churn ever dominates commit latency.
+    /// The frozen key view shares its base layer with every earlier view
+    /// and copies only the keys interned since the last fold (see
+    /// [`FrozenKeys`](crate::intern::FrozenKeys)); the class arrays and the
+    /// plan/frame maps are flat copies (a few bytes and one pointer per
+    /// key). An export after a small commit is therefore dominated by
+    /// memcpy-speed copies, not by rebuilding lookups.
     pub fn verdict_table(&mut self) -> VerdictTable {
-        let stale = match &self.frozen {
-            Some(frozen) => {
-                frozen.len() != self.interner.len()
-                    || frozen.pair_count() != self.interner.pair_count()
-            }
-            None => true,
-        };
-        if stale {
-            self.frozen = Some(Arc::new(self.interner.freeze()));
-        }
-        let keys = Arc::clone(self.frozen.as_ref().expect("frozen view refreshed above"));
+        let keys = self.freeze_keys();
+        self.table_with(keys, self.commits)
+    }
+
+    /// Freeze the key view the next exported table resolves through.
+    pub(crate) fn freeze_keys(&mut self) -> Arc<FrozenKeys> {
+        self.interner.freeze()
+    }
+
+    /// The committed state as a table over `keys` (frozen after the last
+    /// commit), published as `version` — the concurrent writer passes its
+    /// floor-rebased version, so the version-baked response bodies are
+    /// built once, for the version readers see.
+    pub(crate) fn table_with(&self, keys: Arc<FrozenKeys>, version: u64) -> VerdictTable {
         VerdictTable::new(
             keys,
             self.classes.clone(),
-            self.commits,
+            version,
             self.committed_requests,
             self.residue_requests,
             self.engine.clone(),

@@ -91,22 +91,25 @@ impl ClassTable {
 
     /// Set (or clear, with `None`) the committed classification of `key` at
     /// `granularity`, growing the level array on first touch of a new key.
+    /// Returns the classification the slot held before, so a commit can
+    /// log its own transitions.
     pub(crate) fn set(
         &mut self,
         granularity: Granularity,
         key: ResourceKey,
         classification: Option<Classification>,
-    ) {
+    ) -> Option<Classification> {
         let level = &mut self.levels[granularity.index()];
         let index = key.index();
         if index >= level.len() {
-            if classification.is_none() {
-                // Clearing a slot that was never set: nothing to record.
-                return;
-            }
+            // Clearing a slot that was never set: nothing to record.
+            classification?;
             level.resize(index + 1, ABSENT);
         }
-        level[index] = classification.map_or(ABSENT, code_of);
+        classification_of(std::mem::replace(
+            &mut level[index],
+            classification.map_or(ABSENT, code_of),
+        ))
     }
 
     /// Number of member keys at a granularity (non-absent slots).
@@ -120,9 +123,12 @@ impl ClassTable {
     /// Every per-key class transition from `old` to `self`, resolved to key
     /// strings through `keys` (the frozen view `self` was committed
     /// against; ids are append-only stable within an epoch, so it resolves
-    /// every id `old` knew too). Canonical (granularity, key) order —
-    /// this is what one [`VerdictRevision`](crate::revision::VerdictRevision)
-    /// records per commit.
+    /// every id `old` knew too), in canonical (granularity, key) order.
+    ///
+    /// A full scan of both tables. Commits log their own transitions
+    /// instead (`Sifter::commit_revision`), so this serves only full
+    /// enumerations: a bootstrap snapshot is `changes_since` the empty
+    /// table.
     pub(crate) fn changes_since(&self, old: &ClassTable, keys: &FrozenKeys) -> Vec<RevisionChange> {
         let mut changes = Vec::new();
         for granularity in Granularity::ALL {
@@ -457,7 +463,7 @@ pub struct VerdictTable {
     /// version (`Arc` per revision: publishing clones pointers, not change
     /// lists). Empty for tables exported outside a concurrent writer.
     revisions: Vec<Arc<VerdictRevision>>,
-    /// Preformatted response bodies (version baked), rebuilt per table.
+    /// Preformatted response bodies (version baked), built once per table.
     prebuilt: PrebuiltResponses,
 }
 
@@ -489,15 +495,6 @@ impl VerdictTable {
         }
     }
 
-    /// Rebase the table's published version (used by the concurrent writer
-    /// to keep versions monotone across a snapshot restore, which resets
-    /// the underlying commit count). Rebuilds the version-baked fixed
-    /// bodies; the per-key surrogate frames are version-free and shared.
-    pub(crate) fn set_version(&mut self, version: u64) {
-        self.version = version;
-        self.prebuilt = PrebuiltResponses::build(version, Arc::clone(&self.prebuilt.surrogates));
-    }
-
     /// Stamp the key-id epoch (used by the concurrent writer, which owns
     /// the epoch counter).
     pub(crate) fn set_keys_epoch(&mut self, epoch: u64) {
@@ -511,8 +508,8 @@ impl VerdictTable {
         self.revisions = revisions;
     }
 
-    /// This table's committed class arrays (what the writer diffs between
-    /// publishes to record a revision).
+    /// This table's committed class arrays (what a full snapshot
+    /// enumerates).
     pub(crate) fn classes(&self) -> &ClassTable {
         &self.classes
     }

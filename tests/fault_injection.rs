@@ -150,6 +150,7 @@ fn sigkill_child_writer() {
         .open_durable(&dir, u64::MAX)
         .expect("child opens durable dir");
     let progress_path = PathBuf::from(&dir).join("progress");
+    let staged_path = PathBuf::from(&dir).join("progress.tmp");
     let mut committed = 0u64;
     loop {
         for i in 0..SIGKILL_BATCH {
@@ -159,8 +160,11 @@ fn sigkill_child_writer() {
         writer.commit();
         committed += 1;
         // Advertised only after commit() returned, i.e. after the commit
-        // marker's fsync completed — the exact durability promise.
-        fs::write(&progress_path, committed.to_string()).expect("write progress");
+        // marker's fsync completed — the exact durability promise. Staged
+        // and renamed into place, so a kill mid-write never leaves the
+        // parent an empty or partial count.
+        fs::write(&staged_path, committed.to_string()).expect("write progress");
+        fs::rename(&staged_path, &progress_path).expect("advertise progress");
     }
 }
 
